@@ -336,8 +336,8 @@ func printStats(st core.RetrievalStats) {
 		}
 		fmt.Println(" ", line)
 	}
-	for _, tr := range st.Trace {
-		fmt.Println("  *", tr)
+	for _, ev := range st.Events {
+		fmt.Println("  *", ev)
 	}
 }
 

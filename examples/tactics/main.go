@@ -56,8 +56,8 @@ func main() {
 		st := res.Stats()
 		fmt.Printf("tactic=%s strategy=%s rows=%d I/O=%d\n",
 			st.Tactic, st.Strategy, count, db.Pool().Stats().IOCost())
-		for _, tr := range st.Trace {
-			fmt.Println("  *", tr)
+		for _, ev := range st.Events {
+			fmt.Println("  *", ev)
 		}
 	}
 

@@ -90,10 +90,19 @@ func (l *lab) runFrozen(stmt *engine.FrozenStmt, binds engine.Binds, limit int) 
 	return rows, io, err
 }
 
-// runFixed executes a fixed strategy cold through core directly.
-func (l *lab) runFixed(q *core.Query, s core.FixedStrategy, limit int) (rows int, io storage.IOStats, err error) {
+// tscanPlan is the static baseline's sequential-scan plan.
+var tscanPlan = &core.CachedPlan{Tactic: "tscan"}
+
+// indexPlan is the static baseline's one-index plan ("sscan" or
+// "fscan").
+func indexPlan(tactic string, ix *catalog.Index) *core.CachedPlan {
+	return &core.CachedPlan{Tactic: tactic, Indexes: []string{ix.Name}}
+}
+
+// runStatic executes a static plan cold through core directly.
+func (l *lab) runStatic(q *core.Query, p *core.CachedPlan, limit int) (rows int, io storage.IOStats, err error) {
 	io, err = l.coldRun(func() error {
-		rr := core.RunFixed(q, s, core.DefaultConfig())
+		rr := core.RunPlan(nil, q, p, core.DefaultConfig())
 		defer rr.Close()
 		for {
 			_, ok, err := rr.Next()

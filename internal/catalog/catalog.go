@@ -218,41 +218,52 @@ func (t *Table) FetchTracked(rid storage.RID, tr *storage.Tracker) (expr.Row, er
 	return expr.DecodeRow(rec)
 }
 
-// Update replaces the row at rid, maintaining every index whose key
-// changes. The new row must satisfy the table's types and fit in the
-// page (records in this simulator are similar sizes, so in-place update
-// virtually always fits; a genuine overflow surfaces as an error).
-func (t *Table) Update(rid storage.RID, newRow expr.Row) error {
+// Update replaces the row at rid and returns the row's RID afterwards.
+// A row that still fits its page is rewritten in place, and only the
+// indexes whose key changed are touched. A row that grew past its
+// page's free space is relocated: the new version is inserted into the
+// heap, the old record is deleted, and every index is re-keyed to the
+// new RID, including the indexes whose key did not change.
+func (t *Table) Update(rid storage.RID, newRow expr.Row) (storage.RID, error) {
 	if err := t.checkRow(newRow); err != nil {
-		return err
+		return rid, err
 	}
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	oldRow, err := t.Fetch(rid)
 	if err != nil {
-		return err
+		return rid, err
 	}
 	p, err := t.pool.GetDirty(rid.Page)
 	if err != nil {
-		return err
+		return rid, err
 	}
-	if err := p.Update(rid.Slot, expr.EncodeRow(newRow)); err != nil {
-		return err
+	rec := expr.EncodeRow(newRow)
+	newRID := rid
+	if err := p.Update(rid.Slot, rec); errors.Is(err, storage.ErrPageFull) {
+		if newRID, err = t.Heap.Insert(rec); err != nil {
+			return rid, err
+		}
+		if err := t.Heap.Delete(rid); err != nil {
+			return rid, err
+		}
+	} else if err != nil {
+		return rid, err
 	}
 	for _, ix := range t.Indexes {
 		oldKey, newKey := ix.KeyFor(oldRow), ix.KeyFor(newRow)
-		if expr.CompareKeys(oldKey, newKey) == 0 {
+		if newRID == rid && expr.CompareKeys(oldKey, newKey) == 0 {
 			continue
 		}
 		if _, err := ix.Tree.Delete(oldKey, rid); err != nil {
-			return fmt.Errorf("catalog: index %s: %w", ix.Name, err)
+			return newRID, fmt.Errorf("catalog: index %s: %w", ix.Name, err)
 		}
-		if err := ix.Tree.Insert(newKey, rid); err != nil {
-			return fmt.Errorf("catalog: index %s: %w", ix.Name, err)
+		if err := ix.Tree.Insert(newKey, newRID); err != nil {
+			return newRID, fmt.Errorf("catalog: index %s: %w", ix.Name, err)
 		}
 	}
 	t.statsEpoch.Add(1)
-	return nil
+	return newRID, nil
 }
 
 // Delete removes the row at rid from the heap and all indexes.

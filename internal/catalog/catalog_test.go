@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,7 +250,7 @@ func TestTableUpdateMaintainsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Update(rid, expr.Row{expr.Int(1), expr.Int(77), expr.Str("y"), expr.Float(2)}); err != nil {
+	if _, err := tb.Update(rid, expr.Row{expr.Int(1), expr.Int(77), expr.Str("y"), expr.Float(2)}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tb.Fetch(rid)
@@ -270,13 +271,96 @@ func TestTableUpdateMaintainsIndexes(t *testing.T) {
 		t.Fatalf("index entries = %d", ix.Tree.Len())
 	}
 	// Updates are type-checked.
-	if err := tb.Update(rid, expr.Row{expr.Int(1), expr.Str("no"), expr.Str("y"), expr.Float(2)}); err == nil {
+	if _, err := tb.Update(rid, expr.Row{expr.Int(1), expr.Str("no"), expr.Str("y"), expr.Float(2)}); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
 	// Updating a missing RID fails.
 	bad := storage.RID{Page: rid.Page, Slot: rid.Slot + 99}
-	if err := tb.Update(bad, got); err == nil {
+	if _, err := tb.Update(bad, got); err == nil {
 		t.Fatal("phantom update accepted")
+	}
+}
+
+// A row that grows past its full page's free space is relocated, and
+// every index follows it to the new RID.
+func TestTableUpdateRelocatesGrownRow(t *testing.T) {
+	_, tb := familiesTable(t)
+	for _, c := range []string{"ID", "AGE", "NAME"} {
+		if _, err := tb.CreateIndex(c+"_IX", c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill the first page until an insert spills onto a second one.
+	var first storage.RID
+	n := 0
+	for tb.Pages() < 2 {
+		rid, err := tb.Insert(expr.Row{expr.Int(int64(n)), expr.Int(int64(n % 7)), expr.Str(strings.Repeat("n", 40)), expr.Float(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			first = rid
+		}
+		n++
+	}
+	old, err := tb.Fetch(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := expr.Row{old[0], old[1], expr.Str(strings.Repeat("g", 300)), old[3]}
+	rid, err := tb.Update(first, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rid == first {
+		t.Fatal("a row that cannot fit its full page was not relocated")
+	}
+	if got := tb.Cardinality(); got != int64(n) {
+		t.Fatalf("cardinality = %d after update, want %d", got, n)
+	}
+	if _, err := tb.Fetch(first); err == nil {
+		t.Fatal("old record still readable")
+	}
+	// Tscan sees the row once, in its new version.
+	rows, seen := 0, 0
+	cur := tb.Heap.Cursor()
+	for {
+		rec, _, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		row, err := expr.DecodeRow(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows++
+		if row[0].I == old[0].I {
+			seen++
+			if row[2].S != grown[2].S {
+				t.Fatalf("Tscan read the old version %v", row)
+			}
+		}
+	}
+	if rows != n || seen != 1 {
+		t.Fatalf("Tscan read %d rows with %d copies of the updated one, want %d and 1", rows, seen, n)
+	}
+	// Every index, keyed changed or not, points at the new RID only.
+	for _, ix := range tb.Indexes {
+		if has, err := ix.Tree.Contains(ix.KeyFor(grown), rid); err != nil || !has {
+			t.Fatalf("%s: new entry missing (%v)", ix.Name, err)
+		}
+		if has, _ := ix.Tree.Contains(ix.KeyFor(old), first); has {
+			t.Fatalf("%s: still points at the old RID", ix.Name)
+		}
+		if ix.Tree.Len() != int64(n) {
+			t.Fatalf("%s: %d entries, want %d", ix.Name, ix.Tree.Len(), n)
+		}
+	}
+	if got, err := tb.Fetch(rid); err != nil || got[2].S != grown[2].S {
+		t.Fatalf("fetch at the new RID = %v, %v", got, err)
 	}
 }
 
@@ -322,7 +406,7 @@ func TestEpochCounters(t *testing.T) {
 	if tb.StatsEpoch() != 1 {
 		t.Fatalf("stats epoch after insert = %d", tb.StatsEpoch())
 	}
-	if err := tb.Update(rid, expr.Row{expr.Int(1), expr.Int(31), expr.Str("x"), expr.Float(1)}); err != nil {
+	if _, err := tb.Update(rid, expr.Row{expr.Int(1), expr.Int(31), expr.Str("x"), expr.Float(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Delete(rid); err != nil {

@@ -108,10 +108,10 @@ type Query struct {
 // EffectiveGoal resolves the query's goal per Section 4.
 func (q *Query) EffectiveGoal() Goal { return InferGoal(q.Control, q.Goal) }
 
-// neededColumns returns the set of columns the query touches: the
+// NeededColumns returns the set of columns the query touches: the
 // restriction's columns plus the projection (all columns when the
 // projection is open) plus the order columns.
-func (q *Query) neededColumns() []int {
+func (q *Query) NeededColumns() []int {
 	set := map[int]bool{}
 	for _, c := range expr.Columns(q.Restriction) {
 		set[c] = true
@@ -157,7 +157,7 @@ type Classification struct {
 // unrestricted.
 func Classify(q *Query) Classification {
 	var cl Classification
-	needed := q.neededColumns()
+	needed := q.NeededColumns()
 	for _, ix := range q.Table.Indexes {
 		lo, hi, n, empty := ix.RestrictionBounds(q.Restriction, q.Binds)
 		if empty && n > 0 {
@@ -356,9 +356,6 @@ type RetrievalStats struct {
 	FinalListLen int
 	// Events records the competition decisions in order, typed.
 	Events []TraceEvent
-	// Trace holds the human-readable renderings of Events, in the same
-	// order.
-	Trace []string
 	// WinningOrder is the index order that won, for reuse as
 	// PreviousOrder on the next run.
 	WinningOrder []string

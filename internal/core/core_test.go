@@ -295,10 +295,10 @@ func TestBackgroundOnlyIntersectsIndexes(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "background-only")
 	st := rows.Stats()
 	if st.Tactic != "background-only" {
-		t.Fatalf("tactic = %s (trace: %v)", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s (trace: %v)", st.Tactic, st.Events)
 	}
 	if st.FinalListLen < 0 {
-		t.Fatalf("expected a final RID list; trace: %v", st.Trace)
+		t.Fatalf("expected a final RID list; trace: %v", st.Events)
 	}
 }
 
@@ -316,7 +316,7 @@ func TestJscanRecommendsTscanOnHugeRanges(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "tscan-recommend")
 	st := rows.Stats()
 	if !strings.Contains(st.Strategy, "Tscan") {
-		t.Fatalf("expected Tscan in strategy %q; trace: %v", st.Strategy, st.Trace)
+		t.Fatalf("expected Tscan in strategy %q; trace: %v", st.Strategy, st.Events)
 	}
 }
 
@@ -383,7 +383,7 @@ func TestFastFirstOverflowSwitchesToFinal(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "fast-first overflow")
 	st := rows.Stats()
 	if !hasEvent(st, EvBorrowOverflow, "") {
-		t.Fatalf("expected a borrow-overflow event in trace: %v", st.Trace)
+		t.Fatalf("expected a borrow-overflow event in trace: %v", st.Events)
 	}
 }
 
@@ -414,7 +414,7 @@ func TestSortedTacticOrderAndFilter(t *testing.T) {
 	}
 	st := rows.Stats()
 	if st.Tactic != "sorted" && st.Tactic != "fscan" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Events)
 	}
 	// A total-time ordered query over a huge range should instead fall
 	// back to materialize-and-sort when the ordered Fscan is projected
@@ -476,7 +476,7 @@ func TestIndexOnlyTactic(t *testing.T) {
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "sscan static")
 	if st := rows.Stats(); st.Tactic != "sscan" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Events)
 	}
 	// Now add a CITY conjunct that IX_CITY can prefilter: index-only
 	// competition (self-sufficient candidate is gone, so rebuild with a
@@ -526,7 +526,7 @@ func TestPreviousOrderReused(t *testing.T) {
 	drain(t, rows)
 	st := rows.Stats()
 	if len(st.WinningOrder) == 0 {
-		t.Skipf("no winning order recorded (trace: %v)", st.Trace)
+		t.Skipf("no winning order recorded (trace: %v)", st.Events)
 	}
 	if got := o.prevOrder[f.tab.Name]; len(got) == 0 {
 		t.Fatal("optimizer did not record the winning order")
@@ -614,7 +614,7 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 		tactics[rows.Stats().Tactic]++
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%s, tactic %s): got %d rows, want %d\ntrace: %v",
-				trial, restriction, rows.Stats().Tactic, len(got), len(want), rows.Stats().Trace)
+				trial, restriction, rows.Stats().Tactic, len(got), len(want), rows.Stats().Events)
 		}
 		sameMultiset(t, got, want, fmt.Sprintf("trial %d (%s)", trial, restriction))
 	}

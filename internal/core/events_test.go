@@ -34,12 +34,9 @@ func firstEvent(st RetrievalStats, kind EventKind, index string) *TraceEvent {
 
 // checkStream asserts the structural invariants of one retrieval's
 // event stream: consecutive Seq from 0, a consistent QueryID matching
-// the stats, and one rendered Trace line per event.
+// the stats.
 func checkStream(t *testing.T, st RetrievalStats) {
 	t.Helper()
-	if len(st.Events) != len(st.Trace) {
-		t.Fatalf("events (%d) and trace (%d) out of sync", len(st.Events), len(st.Trace))
-	}
 	if st.QueryID == 0 && len(st.Events) > 0 {
 		t.Fatalf("retrieval with events but no QueryID")
 	}
@@ -49,9 +46,6 @@ func checkStream(t *testing.T, st RetrievalStats) {
 		}
 		if ev.QueryID != st.QueryID {
 			t.Fatalf("event %d has QueryID %d, stats say %d", i, ev.QueryID, st.QueryID)
-		}
-		if st.Trace[i] != ev.String() {
-			t.Fatalf("trace line %d is not the event rendering:\n%q\nvs\n%q", i, st.Trace[i], ev.String())
 		}
 	}
 }
@@ -129,10 +123,10 @@ func TestEventStreamPerTactic(t *testing.T) {
 			checkStream(t, st)
 			chosen := firstEvent(st, EvTacticChosen, "")
 			if chosen == nil {
-				t.Fatalf("no tactic-chosen event; trace: %v", st.Trace)
+				t.Fatalf("no tactic-chosen event; trace: %v", st.Events)
 			}
 			if chosen.Tactic != tc.tactic {
-				t.Fatalf("tactic-chosen says %q, want %q (trace: %v)", chosen.Tactic, tc.tactic, st.Trace)
+				t.Fatalf("tactic-chosen says %q, want %q (trace: %v)", chosen.Tactic, tc.tactic, st.Events)
 			}
 			if chosen.Seq != 0 {
 				t.Fatalf("tactic-chosen should be the first event, got Seq %d", chosen.Seq)
@@ -165,7 +159,7 @@ func TestEventStreamTscanRecommendation(t *testing.T) {
 	checkStream(t, st)
 	sw := firstEvent(st, EvStrategySwitch, "")
 	if sw == nil {
-		t.Fatalf("expected a strategy-switch event; trace: %v", st.Trace)
+		t.Fatalf("expected a strategy-switch event; trace: %v", st.Events)
 	}
 	if sw.Scan != "Tscan" {
 		t.Fatalf("strategy-switch targets %q, want Tscan", sw.Scan)
@@ -196,10 +190,10 @@ func TestEventStreamEmptyRange(t *testing.T) {
 	st := rows.Stats()
 	checkStream(t, st)
 	if st.Tactic != "empty-range" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Events)
 	}
 	if !hasEvent(st, EvEmptyRange, "") {
-		t.Fatalf("expected an empty-range event; trace: %v", st.Trace)
+		t.Fatalf("expected an empty-range event; trace: %v", st.Events)
 	}
 	if c := st.IO.IOCost(); c != 0 {
 		t.Fatalf("empty range cost %d I/O, want 0", c)
@@ -238,10 +232,10 @@ func TestOrderedEmptyRangeShortcut(t *testing.T) {
 		st := rows.Stats()
 		checkStream(t, st)
 		if !hasEvent(st, EvEmptyRange, "") {
-			t.Fatalf("expected an empty-range event; tactic %s, trace: %v", st.Tactic, st.Trace)
+			t.Fatalf("expected an empty-range event; tactic %s, trace: %v", st.Tactic, st.Events)
 		}
 		if c := st.IO.IOCost(); c != 0 {
-			t.Fatalf("ordered empty range attributed %d I/O, want 0 (tactic %s, trace: %v)", c, st.Tactic, st.Trace)
+			t.Fatalf("ordered empty range attributed %d I/O, want 0 (tactic %s, trace: %v)", c, st.Tactic, st.Events)
 		}
 	}
 }

@@ -52,6 +52,21 @@ func (p *CachedPlan) String() string {
 	return s + ")"
 }
 
+// Scan names the plan's driving scan the way retrieval strategies
+// spell it — Tscan, Sscan(IX), Fscan(IX) — which is how the static
+// baseline labels its plans. Jscan-driven plans render as String.
+func (p *CachedPlan) Scan() string {
+	switch {
+	case p.Tactic == "tscan":
+		return "Tscan"
+	case p.Tactic == "sscan" && len(p.Indexes) == 1:
+		return "Sscan(" + p.Indexes[0] + ")"
+	case p.Tactic == "fscan" && len(p.Indexes) == 1:
+		return "Fscan(" + p.Indexes[0] + ")"
+	}
+	return p.String()
+}
+
 // Fingerprint canonically identifies the plan for win-streak counting.
 func (p *CachedPlan) Fingerprint() string { return p.String() }
 
@@ -99,7 +114,7 @@ func CapturePlan(st *RetrievalStats) (*CachedPlan, bool) {
 			}
 		case EvStrategySwitch:
 			switches = append(switches, ev)
-		case EvBorrowOverflow, EvRaceStarted, EvRaceResolved, EvFixedPlan:
+		case EvBorrowOverflow, EvRaceStarted, EvRaceResolved:
 			return nil, false
 		}
 	}
@@ -186,20 +201,36 @@ func CapturePlan(st *RetrievalStats) (*CachedPlan, bool) {
 	}
 }
 
-// RunFrozen replays a cached plan for q, skipping estimation and
-// competition: scan bounds are recomputed from the current bindings
-// (zero I/O), the captured arrangement executes with competition
-// disabled, and an empty recomputed range still short-circuits to end
-// of data. Row content, order, and productive I/O match the dynamic
-// run the plan was captured from, as long as the data hasn't drifted;
-// the saving is the estimation stage and the competition bookkeeping.
+// RunPlan executes a frozen plan for q with no optimizer behind it: the
+// static baseline of the paper, one strategy with no run-time
+// switching. Scan bounds come from the current bindings (a frozen plan
+// still sees run-time values; what it cannot do is change strategy),
+// and an ORDER BY the plan does not deliver is met by materializing and
+// sorting, as a static plan's SORT node would. It records no metrics,
+// feeds no feedback, samples no cluster ratio and spends no estimation
+// I/O. A nil ec runs free.
+func RunPlan(ec *ExecCtx, q *Query, p *CachedPlan, cfg Config) Rows {
+	rows, err := runPlan(ec, q, p, cfg.WithDefaults(), nil)
+	if err != nil {
+		return errRows{err: err}
+	}
+	return rows
+}
+
+// RunFrozen replays a cached plan for q through RunPlan's runner,
+// skipping estimation and competition: the saving is the estimation
+// stage and the competition bookkeeping. Row content, order, and
+// productive I/O match the dynamic run the plan was captured from, as
+// long as the data hasn't drifted.
 //
-// A replay counts a query and a tactic win but feeds neither the
-// estimate-error histogram nor the feedback registry. ErrPlanStale
-// surfaces (through the Rows) when a referenced index is gone.
+// Unlike RunPlan, a replay counts a query and a tactic win, and a
+// replayed Jscan records its winning order for the next dynamic run;
+// it still feeds neither the estimate-error histogram nor the feedback
+// registry. ErrPlanStale surfaces (through the Rows) when a referenced
+// index is gone.
 func (o *Optimizer) RunFrozen(ec *ExecCtx, q *Query, p *CachedPlan) Rows {
 	o.metrics.recordQuery()
-	rows, err := o.runFrozen(ec, q, p)
+	rows, err := runPlan(ec, q, p, o.cfg, o)
 	if err != nil {
 		if isCancellation(err) && ec.markCancelRecorded() {
 			o.metrics.recordCancellation(err)
@@ -209,7 +240,9 @@ func (o *Optimizer) RunFrozen(ec *ExecCtx, q *Query, p *CachedPlan) Rows {
 	return rows
 }
 
-func (o *Optimizer) runFrozen(ec *ExecCtx, q *Query, p *CachedPlan) (Rows, error) {
+// runPlan is the one frozen-plan runner. o is the optimizer replaying a
+// cached plan, or nil for a static run.
+func runPlan(ec *ExecCtx, q *Query, p *CachedPlan, cfg Config, o *Optimizer) (Rows, error) {
 	if err := ec.Err(); err != nil {
 		return nil, err
 	}
@@ -230,57 +263,68 @@ func (o *Optimizer) runFrozen(ec *ExecCtx, q *Query, p *CachedPlan) (Rows, error
 		}
 		ixs[i] = ix
 	}
+	if p.Tactic != "tscan" && len(ixs) == 0 {
+		return nil, fmt.Errorf("core: %s plan without index", p.Tactic)
+	}
+	// An index delivers the requested order forward; a descending
+	// request scans the same index in reverse.
+	switch {
+	case len(q.OrderBy) == 0:
+	case (p.Tactic == "sscan" || p.Tactic == "fscan" || p.Tactic == "sorted") && ixs[0].DeliversOrder(q.OrderBy):
+	default:
+		return runSortNode(q, func(inner *Query) (Rows, error) {
+			return startPlan(ec, inner, p, ixs, cfg, o)
+		})
+	}
+	return startPlan(ec, q, p, ixs, cfg, o)
+}
+
+// startPlan builds the retrieval for a frozen plan whose order, if any,
+// the plan delivers.
+func startPlan(ec *ExecCtx, q *Query, p *CachedPlan, ixs []*catalog.Index, cfg Config, o *Optimizer) (Rows, error) {
+	var metrics *Metrics
+	detail := "static plan"
+	if o != nil {
+		metrics = o.metrics
+		detail = "frozen plan cache replay"
+	}
+	// A contradictory sargable range on any index makes the whole
+	// conjunction unsatisfiable: end of data at once, zero I/O. Every
+	// range recomputed below is therefore non-empty.
 	cl := Classify(q)
 	if cl.EmptyRange {
 		st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID(), Tactic: "empty-range"}
-		trc := &tracer{st: &st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
-		trc.emit(TraceEvent{Kind: EvEmptyRange, Detail: "frozen replay: contradictory sargable range, end of data at once"})
+		trc := &tracer{st: &st, sink: cfg.Trace, extra: ec.traceSink(), metrics: metrics}
+		trc.emit(TraceEvent{Kind: EvEmptyRange, Detail: detail + ": contradictory sargable range, end of data at once"})
 		return &emptyRows{stats: st}, nil
 	}
-	// Competition off: the replay scans exactly the captured order —
-	// no skips, no races, no abandonment.
-	cfg := o.cfg
+	// Competition off: the run scans exactly the plan's order — no
+	// skips, no races, no abandonment.
 	cfg.DisableCompetition = true
 	cfg.RaceFactor = -1
 	st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()}
-	r := &retrieval{q: q, cfg: cfg, st: st, ec: ec, out: &rowQueue{}, metrics: o.metrics, frozenReplay: true}
-	r.trc = &tracer{st: &r.st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
-	r.model = o.costModel(q, cl)
+	r := &retrieval{q: q, cfg: cfg, st: st, ec: ec, out: &rowQueue{}, metrics: metrics, frozenReplay: true}
+	r.trc = &tracer{st: &r.st, sink: cfg.Trace, extra: ec.traceSink(), metrics: metrics}
 
-	emptyReplay := func(scan string) (Rows, error) {
-		r.trc.emit(TraceEvent{
-			Kind: EvEmptyRange, Tactic: r.tactic.String(), Scan: scan,
-			Detail: "frozen replay range empty, end of data at once",
-		})
-		s := r.st
-		s.Tactic = r.tactic.String()
-		return &emptyRows{stats: s}, nil
-	}
 	switch p.Tactic {
 	case "tscan":
 		r.tactic = tacticTscan
 		r.fg = newTscan(ec, q, r.out, cfg.effectiveWorkers())
 		r.trc.emit(TraceEvent{
 			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Tscan",
-			EstimatedIO: r.model.TscanCost(), Detail: "frozen plan cache replay",
+			EstimatedIO: float64(q.Table.Pages()), Detail: detail,
 		})
 	case "sscan", "fscan":
 		ix := ixs[0]
-		lo, hi, _, empty := ix.RestrictionBounds(q.Restriction, q.Binds)
-		if p.Tactic == "sscan" {
-			r.tactic = tacticSscan
-		} else {
-			r.tactic = tacticFscan
-		}
-		if empty {
-			return emptyReplay(p.String())
-		}
-		desc := len(q.OrderBy) > 0 && q.OrderDesc && ix.DeliversOrder(q.OrderBy)
+		lo, hi, _, _ := ix.RestrictionBounds(q.Restriction, q.Binds)
+		desc := len(q.OrderBy) > 0 && q.OrderDesc
 		var fg stepper
 		var err error
 		if p.Tactic == "sscan" {
+			r.tactic = tacticSscan
 			fg, err = newSscan(ec, q, ix, lo, hi, r.out, cfg.StepEntries, desc)
 		} else {
+			r.tactic = tacticFscan
 			fg, err = newFscan(ec, q, ix, lo, hi, r.out, cfg.StepEntries, desc)
 		}
 		if err != nil {
@@ -289,27 +333,23 @@ func (o *Optimizer) runFrozen(ec *ExecCtx, q *Query, p *CachedPlan) (Rows, error
 		r.fg = fg
 		r.trc.emit(TraceEvent{
 			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: fg.name(),
-			Indexes: []string{ix.Name}, Detail: "frozen plan cache replay",
+			Indexes: []string{ix.Name}, Detail: detail,
 		})
 	case "background-only":
 		r.tactic = tacticBackgroundOnly
-		ests, empty := frozenEstimates(q, ixs, p.RIDs)
-		if empty {
-			return emptyReplay("Jscan")
-		}
+		r.model = o.costModel(q, cl)
+		ests := frozenEstimates(q, ixs, p.RIDs)
 		j := newJscan(ec, q, cfg, r.model, ests, nil, r.trc)
 		j.onDone = o.observer(q)
 		r.bg = j
 		r.trc.emit(TraceEvent{
 			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Jscan", Indexes: p.Indexes,
-			EstimatedIO: bgPlanEst(r.model, ests[0]), Detail: "frozen plan cache replay",
+			EstimatedIO: bgPlanEst(r.model, ests[0]), Detail: detail,
 		})
 	case "fast-first":
 		r.tactic = tacticFastFirst
-		ests, empty := frozenEstimates(q, ixs, p.RIDs)
-		if empty {
-			return emptyReplay("Jscan")
-		}
+		r.model = o.costModel(q, cl)
+		ests := frozenEstimates(q, ixs, p.RIDs)
 		borrow := &ridQueue{}
 		j := newJscan(ec, q, cfg, r.model, ests, borrow, r.trc)
 		j.onDone = o.observer(q)
@@ -318,15 +358,13 @@ func (o *Optimizer) runFrozen(ec *ExecCtx, q *Query, p *CachedPlan) (Rows, error
 		r.trc.emit(TraceEvent{
 			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Jscan", Indexes: p.Indexes,
 			EstimatedIO: bgPlanEst(r.model, ests[0]),
-			Detail:      "frozen plan cache replay, foreground borrows from " + ixs[0].Name,
+			Detail:      detail + ", foreground borrows from " + ixs[0].Name,
 		})
 	case "sorted":
 		r.tactic = tacticSorted
+		r.model = o.costModel(q, cl)
 		ordIx := ixs[0]
-		lo, hi, _, empty := ordIx.RestrictionBounds(q.Restriction, q.Binds)
-		if empty {
-			return emptyReplay("Fscan(" + ordIx.Name + ")")
-		}
+		lo, hi, _, _ := ordIx.RestrictionBounds(q.Restriction, q.Binds)
 		fg, err := newFscan(ec, q, ordIx, lo, hi, r.out, cfg.StepEntries, q.OrderDesc)
 		if err != nil {
 			return nil, err
@@ -335,19 +373,15 @@ func (o *Optimizer) runFrozen(ec *ExecCtx, q *Query, p *CachedPlan) (Rows, error
 		if len(p.RIDs) > 1 {
 			restRIDs = p.RIDs[1:]
 		}
-		others, oEmpty := frozenEstimates(q, ixs[1:], restRIDs)
-		if oEmpty {
-			return emptyReplay("Jscan")
-		}
 		fcfg := cfg
 		fcfg.RID.FilterOnly = true
-		j := newJscan(ec, q, fcfg, r.model, others, nil, r.trc)
+		j := newJscan(ec, q, fcfg, r.model, frozenEstimates(q, ixs[1:], restRIDs), nil, r.trc)
 		j.onDone = o.observer(q)
 		r.fg = fg
 		r.bg = j
 		r.trc.emit(TraceEvent{
 			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: fg.name(), Indexes: p.Indexes,
-			Detail: "frozen plan cache replay",
+			Detail: detail,
 		})
 	default:
 		return nil, fmt.Errorf("core: cached plan has no frozen form for tactic %q", p.Tactic)
@@ -355,29 +389,24 @@ func (o *Optimizer) runFrozen(ec *ExecCtx, q *Query, p *CachedPlan) (Rows, error
 	return r, nil
 }
 
-// frozenEstimates rebuilds the IndexEstimate slice a replay Jscan
+// frozenEstimates rebuilds the IndexEstimate slice a frozen Jscan
 // needs: bounds recomputed from the current bindings (pure key
-// arithmetic, zero I/O) and the captured entry estimates. empty=true
-// when some index's recomputed range is provably empty — the whole
-// conjunction is unsatisfiable.
-func frozenEstimates(q *Query, ixs []*catalog.Index, rids []float64) (ests []estimate.IndexEstimate, empty bool) {
-	ests = make([]estimate.IndexEstimate, len(ixs))
+// arithmetic, zero I/O) and the captured entry estimates.
+func frozenEstimates(q *Query, ixs []*catalog.Index, rids []float64) []estimate.IndexEstimate {
+	ests := make([]estimate.IndexEstimate, len(ixs))
 	for i, ix := range ixs {
-		lo, hi, sarg, emptyRg := ix.RestrictionBounds(q.Restriction, q.Binds)
-		if emptyRg {
-			return nil, true
-		}
+		lo, hi, sarg, _ := ix.RestrictionBounds(q.Restriction, q.Binds)
 		var est float64
 		if i < len(rids) {
 			est = rids[i]
 		}
 		ests[i] = estimate.IndexEstimate{Index: ix, Lo: lo, Hi: hi, Sargable: sarg, RIDs: est}
 	}
-	return ests, false
+	return ests
 }
 
-// exprValidateQuery shares run()'s query validation with the replay
-// path.
+// exprValidateQuery checks a query's restriction and column positions
+// before any run starts.
 func exprValidateQuery(q *Query) error {
 	if err := expr.Validate(q.Restriction); err != nil {
 		return err

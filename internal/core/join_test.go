@@ -457,7 +457,7 @@ func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 		}
 	}
 	if !reopted {
-		t.Fatalf("dynamic run did not emit %s; events: %v", EvJoinReoptimized, stD.Trace)
+		t.Fatalf("dynamic run did not emit %s; events: %v", EvJoinReoptimized, stD.Events)
 	}
 	ioS, ioD := stS.IO.IOCost(), stD.IO.IOCost()
 	if ioD >= ioS {

@@ -84,13 +84,8 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 	if q.Table == nil {
 		return nil, fmt.Errorf("core: query without table")
 	}
-	if err := expr.Validate(q.Restriction); err != nil {
+	if err := exprValidateQuery(q); err != nil {
 		return nil, err
-	}
-	for _, c := range append(append([]int(nil), q.Projection...), q.OrderBy...) {
-		if c < 0 || c >= len(q.Table.Columns) {
-			return nil, fmt.Errorf("core: column position %d out of range", c)
-		}
 	}
 	goal := q.EffectiveGoal()
 	cl := Classify(q)
@@ -216,12 +211,19 @@ func (o *Optimizer) planUnion(ec *ExecCtx, q *Query, legs []unionLeg, r *retriev
 // runSorted wraps a total-time retrieval in a SORT (the paper's goal
 // inference treats SORT as a total-time controller).
 func (o *Optimizer) runSorted(ec *ExecCtx, q *Query) (Rows, error) {
+	return runSortNode(q, func(inner *Query) (Rows, error) { return o.run(ec, inner) })
+}
+
+// runSortNode is the SORT node shared by the dynamic and frozen paths:
+// start runs q stripped of its order, projection and limit under a
+// sort controller, and the drained rows are sorted into q's order.
+func runSortNode(q *Query, start func(inner *Query) (Rows, error)) (Rows, error) {
 	inner := *q
 	inner.OrderBy = nil
 	inner.Projection = nil
 	inner.Limit = 0
 	inner.Control = ControlSort
-	src, err := o.run(ec, &inner)
+	src, err := start(&inner)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +270,8 @@ func (s *sliceRows) Close() error          { return nil }
 func (s *sliceRows) Stats() RetrievalStats { return s.st }
 
 // costModel builds the I/O cost model for q, sampling the cluster ratio
-// of the most relevant index once and caching it.
+// of the most relevant index once and caching it. A nil optimizer (a
+// static run) samples nothing and leaves the ratio unknown.
 func (o *Optimizer) costModel(q *Query, cl Classification) estimate.CostModel {
 	m := estimate.CostModel{
 		TablePages: q.Table.Pages(),
@@ -278,7 +281,7 @@ func (o *Optimizer) costModel(q *Query, cl Classification) estimate.CostModel {
 	// costs; sample it lazily. Sampling is cheap (a few ranked
 	// descents) but not free, which mirrors the paper's point that
 	// clustering "may be hard to detect".
-	if len(cl.FetchNeeded) > 0 {
+	if o != nil && len(cl.FetchNeeded) > 0 {
 		ix := cl.FetchNeeded[0]
 		o.mu.Lock()
 		r, ok := o.cluster[ix]
@@ -297,8 +300,12 @@ func (o *Optimizer) costModel(q *Query, cl Classification) estimate.CostModel {
 }
 
 // observer returns the jscan completion hook that records the winning
-// index order for the next run's pre-arrangement.
+// index order for the next run's pre-arrangement (nil for a static run,
+// which has no optimizer to remember it).
 func (o *Optimizer) observer(q *Query) func([]string) {
+	if o == nil {
+		return nil
+	}
 	return func(names []string) {
 		if len(names) > 0 {
 			o.mu.Lock()
@@ -436,7 +443,7 @@ func (o *Optimizer) bestSscan(ec *ExecCtx, q *Query, cands []*catalog.Index) (be
 func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res estimate.Result, r *retrieval) (Rows, error) {
 	// Prefer an order-needed index that is also self-sufficient.
 	for _, ix := range cl.OrderNeeded {
-		if ix.Covers(q.neededColumns()) {
+		if ix.Covers(q.NeededColumns()) {
 			lo, hi, _, empty := ix.RestrictionBounds(q.Restriction, q.Binds)
 			if empty {
 				// Contradictory range: cancel all stages, end of data

@@ -261,7 +261,7 @@ func TestAdaptiveDowngradesSmallScan(t *testing.T) {
 	st := rows.Stats()
 	ev := firstEvent(st, EvParallelWidthChosen, "")
 	if ev == nil {
-		t.Fatalf("no width decision in trace: %v", st.Trace)
+		t.Fatalf("no width decision in trace: %v", st.Events)
 	}
 	if ev.Width != 1 {
 		t.Fatalf("width = %d, want 1 (startup dominates)", ev.Width)
@@ -329,7 +329,7 @@ func TestJscanLimitEarlyCancel(t *testing.T) {
 		}
 	}
 	if !hasEvent(parSt, EvParallelEarlyCancel, "") {
-		t.Fatalf("no parallel-early-cancel event; trace: %v", parSt.Trace)
+		t.Fatalf("no parallel-early-cancel event; trace: %v", parSt.Events)
 	}
 	if hasEvent(seqSt, EvParallelEarlyCancel, "") {
 		t.Fatal("sequential run must not early-cancel")

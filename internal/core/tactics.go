@@ -89,7 +89,7 @@ type retrieval struct {
 	// rounds so a cancelled query stops even while popping queued rows.
 	ec *ExecCtx
 	// trc stamps and fans out this retrieval's trace events; metrics is
-	// the optimizer's shared registry (nil for fixed plans).
+	// the optimizer's shared registry (nil for static runs).
 	trc     *tracer
 	metrics *Metrics
 	// fb, when non-nil, receives this retrieval's estimated-vs-actual

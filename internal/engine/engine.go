@@ -959,29 +959,9 @@ func (db *DB) execDelete(stmt *sql.DeleteStmt, bb expr.Bindings) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Collect matching RIDs first, then delete, so the scan never
-	// observes its own modifications.
-	var victims []storage.RID
-	cur := tab.Heap.Cursor()
-	for {
-		rec, rid, ok, err := cur.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		row, err := expr.DecodeRow(rec)
-		if err != nil {
-			return 0, err
-		}
-		keep, err := expr.EvalPred(restriction, row, bb)
-		if err != nil {
-			return 0, err
-		}
-		if keep {
-			victims = append(victims, rid)
-		}
+	victims, err := dmlVictims(tab, restriction, bb)
+	if err != nil {
+		return 0, err
 	}
 	for i, rid := range victims {
 		if err := tab.Delete(rid); err != nil {
@@ -989,6 +969,36 @@ func (db *DB) execDelete(stmt *sql.DeleteStmt, bb expr.Bindings) (int, error) {
 		}
 	}
 	return len(victims), nil
+}
+
+// dmlVictims heap-scans tab for the RIDs of the rows matching
+// restriction. UPDATE and DELETE collect every victim before modifying
+// any, so the scan never observes its own modifications (an updated row
+// must not match again).
+func dmlVictims(tab *catalog.Table, restriction expr.Expr, bb expr.Bindings) ([]storage.RID, error) {
+	var victims []storage.RID
+	cur := tab.Heap.Cursor()
+	defer cur.Close() // a failed decode or predicate must not leak the pin
+	for {
+		rec, rid, ok, err := cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return victims, nil
+		}
+		row, err := expr.DecodeRow(rec)
+		if err != nil {
+			return nil, err
+		}
+		keep, err := expr.EvalPred(restriction, row, bb)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			victims = append(victims, rid)
+		}
+	}
 }
 
 // aggregate drains the retrieval computing the requested aggregate.
@@ -1082,29 +1092,9 @@ func (db *DB) execUpdate(stmt *sql.UpdateStmt, bb expr.Bindings) (int, error) {
 		}
 		sets[i] = set{col: ci, val: v}
 	}
-	// Collect matching RIDs first so the scan never observes its own
-	// modifications (an updated row must not match again).
-	var victims []storage.RID
-	cur := tab.Heap.Cursor()
-	for {
-		rec, rid, ok, err := cur.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		row, err := expr.DecodeRow(rec)
-		if err != nil {
-			return 0, err
-		}
-		keep, err := expr.EvalPred(restriction, row, bb)
-		if err != nil {
-			return 0, err
-		}
-		if keep {
-			victims = append(victims, rid)
-		}
+	victims, err := dmlVictims(tab, restriction, bb)
+	if err != nil {
+		return 0, err
 	}
 	for i, rid := range victims {
 		row, err := tab.Fetch(rid)
@@ -1115,7 +1105,7 @@ func (db *DB) execUpdate(stmt *sql.UpdateStmt, bb expr.Bindings) (int, error) {
 		for _, sc := range sets {
 			newRow[sc.col] = sc.val
 		}
-		if err := tab.Update(rid, newRow); err != nil {
+		if _, err := tab.Update(rid, newRow); err != nil {
 			return i, err
 		}
 	}

@@ -12,8 +12,8 @@
 //     freezes the resulting plan, which is catastrophic when later runs
 //     bind very different values (the paper's AGE >= :A1 example).
 //
-// Either way the frozen plan is executed via core.RunFixed for every
-// subsequent run.
+// Either way the frozen plan is a core.CachedPlan with tactic tscan,
+// sscan or fscan, executed via core.RunPlan for every subsequent run.
 package planner
 
 import (
@@ -35,7 +35,7 @@ const (
 
 // Plan is a frozen execution plan with its compile-time cost estimate.
 type Plan struct {
-	Strategy core.FixedStrategy
+	Strategy *core.CachedPlan
 	// Cost is the mean-point I/O estimate that won plan selection.
 	Cost float64
 	// Selectivity is the estimated restriction selectivity used.
@@ -43,19 +43,14 @@ type Plan struct {
 }
 
 func (p *Plan) String() string {
-	return fmt.Sprintf("%s (est cost %.0f, sel %.3f)", p.Strategy, p.Cost, p.Selectivity)
+	return fmt.Sprintf("%s (est cost %.0f, sel %.3f)", p.Strategy.Scan(), p.Cost, p.Selectivity)
 }
 
-// Execute runs the frozen plan for one set of bindings.
-func (p *Plan) Execute(q *core.Query) core.Rows {
-	return core.RunFixed(q, p.Strategy, core.DefaultConfig())
-}
-
-// ExecuteExec runs the frozen plan under an execution context:
-// cancellation, deadline, and I/O budget unwind the retrieval exactly
-// as they do a dynamic one (nil ec = free).
+// ExecuteExec runs the frozen plan for one set of bindings under an
+// execution context: cancellation, deadline, and I/O budget unwind the
+// retrieval exactly as they do a dynamic one (nil ec = free).
 func (p *Plan) ExecuteExec(ec *core.ExecCtx, q *core.Query) core.Rows {
-	return core.RunFixedExec(ec, q, p.Strategy, core.DefaultConfig())
+	return core.RunPlan(ec, q, p.Strategy, core.DefaultConfig())
 }
 
 // JoinPlan is a frozen multi-table plan: the greedy join order and
@@ -117,10 +112,10 @@ func prepare(q *core.Query, binds expr.Bindings, sniff bool) (*Plan, error) {
 		TableRows:  q.Table.Cardinality(),
 	}
 	rows := float64(q.Table.Cardinality())
-	needed := queryColumns(q)
+	needed := q.NeededColumns()
 
 	best := &Plan{
-		Strategy:    core.FixedStrategy{Kind: core.StrategyTscan},
+		Strategy:    &core.CachedPlan{Tactic: "tscan"},
 		Cost:        model.TscanCost(),
 		Selectivity: 1,
 	}
@@ -140,43 +135,22 @@ func prepare(q *core.Query, binds expr.Bindings, sniff bool) (*Plan, error) {
 		}
 		est := sel * rows
 		var cost float64
-		kind := core.StrategyFscan
+		tactic := "fscan"
 		if covering {
-			kind = core.StrategySscan
+			tactic = "sscan"
 			cost = model.SscanCost(est, ix.Tree.AvgLeafEntries(), ix.Tree.Height())
 		} else {
 			cost = model.FscanCost(est, ix.Tree.AvgLeafEntries(), ix.Tree.Height())
 		}
 		if cost < best.Cost {
 			best = &Plan{
-				Strategy:    core.FixedStrategy{Kind: kind, Index: ix},
+				Strategy:    &core.CachedPlan{Tactic: tactic, Indexes: []string{ix.Name}},
 				Cost:        cost,
 				Selectivity: sel,
 			}
 		}
 	}
 	return best, nil
-}
-
-// queryColumns returns every column the query touches.
-func queryColumns(q *core.Query) []int {
-	set := map[int]bool{}
-	for _, c := range expr.Columns(q.Restriction) {
-		set[c] = true
-	}
-	if q.Projection == nil {
-		for i := range q.Table.Columns {
-			set[i] = true
-		}
-	}
-	for _, c := range append(append([]int(nil), q.Projection...), q.OrderBy...) {
-		set[c] = true
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	return out
 }
 
 // indexSelectivity estimates the selectivity of the restriction portion

@@ -73,7 +73,7 @@ func TestPrepareDefaultsPickTscanForRangeOnParam(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1/3 of 20000 rows via unclustered fetches dwarfs a Tscan.
-	if p.Strategy.Kind != core.StrategyTscan {
+	if p.Strategy.Tactic != "tscan" {
 		t.Fatalf("plan = %s, want Tscan", p)
 	}
 }
@@ -90,12 +90,12 @@ func TestPrepareDefaultsPickIndexForEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy.Index == nil || p.Strategy.Index.Name != "ID_IX" {
+	if len(p.Strategy.Indexes) != 1 || p.Strategy.Indexes[0] != "ID_IX" {
 		t.Fatalf("plan = %s, want ID_IX", p)
 	}
 	// Covering projection: Sscan.
-	if p.Strategy.Kind != core.StrategySscan {
-		t.Fatalf("plan kind = %s, want Sscan", p.Strategy.Kind)
+	if p.Strategy.Tactic != "sscan" {
+		t.Fatalf("plan tactic = %s, want sscan", p.Strategy.Tactic)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestPrepareSniffingFreezesFromFirstBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy.Kind != core.StrategyFscan {
+	if p.Strategy.Tactic != "fscan" {
 		t.Fatalf("sniffed plan = %s, want Fscan", p)
 	}
 	// Sniffed with a non-selective binding: picks Tscan.
@@ -119,7 +119,7 @@ func TestPrepareSniffingFreezesFromFirstBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Strategy.Kind != core.StrategyTscan {
+	if p2.Strategy.Tactic != "tscan" {
 		t.Fatalf("sniffed plan = %s, want Tscan", p2)
 	}
 }
@@ -139,14 +139,14 @@ func TestFrozenPlanExecutesCorrectlyButExpensively(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy.Kind != core.StrategyFscan {
+	if p.Strategy.Tactic != "fscan" {
 		t.Fatalf("sniffed plan = %s, want Fscan(AGE_IX)", p)
 	}
 	// Run the frozen plan with the adversarial binding A1=0.
 	q.Binds = expr.Bindings{"A1": expr.Int(0)}
 	pool2.EvictAll()
 	pool2.ResetStats()
-	got := drainRows(t, p.Execute(q))
+	got := drainRows(t, p.ExecuteExec(nil, q))
 	if len(got) != 20000 {
 		t.Fatalf("frozen plan returned %d rows, want 20000", len(got))
 	}
@@ -189,7 +189,7 @@ func buildBoundedTable(t testing.TB, n, frames int) (*catalog.Table, *storage.Bu
 	return tab, pool
 }
 
-func TestRunFixedSscanAndSorted(t *testing.T) {
+func TestStaticPlanSscanAndSorted(t *testing.T) {
 	tab, _ := buildTable(t, 5000)
 	id, _ := tab.ColumnIndex("ID")
 	age, _ := tab.ColumnIndex("AGE")
@@ -199,26 +199,26 @@ func TestRunFixedSscanAndSorted(t *testing.T) {
 		Projection:  []int{id},
 	}
 	ixID := tab.Indexes[0]
-	got := drainRows(t, core.RunFixed(q, core.FixedStrategy{Kind: core.StrategySscan, Index: ixID}, core.DefaultConfig()))
+	got := drainRows(t, core.RunPlan(nil, q, &core.CachedPlan{Tactic: "sscan", Indexes: []string{ixID.Name}}, core.DefaultConfig()))
 	if len(got) != 100 {
 		t.Fatalf("Sscan returned %d rows", len(got))
 	}
-	// ORDER BY AGE with an ID index: RunFixed must sort.
+	// ORDER BY AGE with an ID index: the static run must sort.
 	q2 := &core.Query{
 		Table:       tab,
 		Restriction: expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(500))),
 		OrderBy:     []int{age},
 	}
-	rows := drainRows(t, core.RunFixed(q2, core.FixedStrategy{Kind: core.StrategyFscan, Index: ixID}, core.DefaultConfig()))
+	rows := drainRows(t, core.RunPlan(nil, q2, &core.CachedPlan{Tactic: "fscan", Indexes: []string{ixID.Name}}, core.DefaultConfig()))
 	if len(rows) != 500 {
 		t.Fatalf("sorted Fscan returned %d rows", len(rows))
 	}
 	if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i][age].I < rows[j][age].I }) {
-		t.Fatal("RunFixed did not sort")
+		t.Fatal("static run did not sort")
 	}
 }
 
-func TestRunFixedEmptyRangeAndErrors(t *testing.T) {
+func TestStaticPlanEmptyRangeAndErrors(t *testing.T) {
 	tab, _ := buildTable(t, 100)
 	id, _ := tab.ColumnIndex("ID")
 	q := &core.Query{
@@ -226,14 +226,14 @@ func TestRunFixedEmptyRangeAndErrors(t *testing.T) {
 		Restriction: expr.NewCmp(expr.EQ, expr.Col(id, "ID"), expr.Lit(expr.Int(-5))),
 	}
 	ixID := tab.Indexes[0]
-	got := drainRows(t, core.RunFixed(q, core.FixedStrategy{Kind: core.StrategyFscan, Index: ixID}, core.DefaultConfig()))
+	got := drainRows(t, core.RunPlan(nil, q, &core.CachedPlan{Tactic: "fscan", Indexes: []string{ixID.Name}}, core.DefaultConfig()))
 	if len(got) != 0 {
 		t.Fatalf("empty range returned %d rows", len(got))
 	}
-	if _, _, err := core.RunFixed(q, core.FixedStrategy{Kind: core.StrategySscan}, core.DefaultConfig()).Next(); err == nil {
+	if _, _, err := core.RunPlan(nil, q, &core.CachedPlan{Tactic: "sscan"}, core.DefaultConfig()).Next(); err == nil {
 		t.Fatal("Sscan without index accepted")
 	}
-	if _, _, err := core.RunFixed(&core.Query{}, core.FixedStrategy{}, core.DefaultConfig()).Next(); err == nil {
+	if _, _, err := core.RunPlan(nil, &core.Query{}, &core.CachedPlan{Tactic: "tscan"}, core.DefaultConfig()).Next(); err == nil {
 		t.Fatal("nil table accepted")
 	}
 }
